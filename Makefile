@@ -1,7 +1,7 @@
 GO ?= go
 BENCH_OUT ?= BENCH_$(shell date +%Y-%m-%d).json
 
-.PHONY: build test race vet fmt-check lint lint-bench bench trace-smoke chaos-smoke loadtest-smoke latency-smoke slo-smoke layer-smoke verify
+.PHONY: build test race vet fmt-check lint lint-bench bench trace-smoke chaos-smoke loadtest-smoke latency-smoke slo-smoke layer-smoke join-smoke verify
 
 build:
 	$(GO) build ./...
@@ -115,6 +115,16 @@ layer-smoke:
 		-frames 1 -points 4000 -load-seed 1 -min-frames 500 \
 		-layers -probe-upgrade -min-delta-cells 1 -min-cache-hits 1 \
 		-merge $(BENCH_OUT) -merge-key layer
+
+# join-smoke is the cold-join gate at paper content size: 4 clients join
+# one scene of 330K-point frames. Synthesizing and encoding that whole
+# video takes longer than the client's 5 s Welcome deadline (about 6 s
+# on a 2-vCPU host), so a join that waited for the full build would
+# reconnect. The store builds in playback order, Welcome follows frame
+# 0, and no client may reconnect.
+join-smoke:
+	$(GO) run ./cmd/volload -sessions 1 -clients 4 -points 330000 \
+		-duration 12s -load-seed 42 -max-reconnects 0
 
 # verify is the CI gate: static checks (vet, gofmt, vollint), a full
 # build, and the test suite under the race detector (the parallel

@@ -232,6 +232,7 @@ func main() {
 	merge := flag.String("merge", "", "merge the report into this benchjson BENCH_*.json (created if absent) under -merge-key")
 	mergeKey := flag.String("merge-key", "loadtest", "top-level key the report is merged under in the -merge file")
 	minFrames := flag.Int64("min-frames", 1, "exit nonzero unless at least this many frames completed in total")
+	maxReconnects := flag.Int64("max-reconnects", -1, "exit nonzero when clients reconnected more than this many times in total (-1 = no gate)")
 	maxP50 := flag.Float64("max-p50", 0, "exit nonzero when p50 frame latency exceeds this many ms (0 = no gate)")
 	maxP95 := flag.Float64("max-p95", 0, "exit nonzero when p95 frame latency exceeds this many ms (0 = no gate)")
 	maxP99 := flag.Float64("max-p99", 0, "exit nonzero when p99 frame latency exceeds this many ms (0 = no gate)")
@@ -721,6 +722,9 @@ func main() {
 	}
 	if rep.Frames < *minFrames {
 		log.Fatalf("volload: FAILED: %d frames < -min-frames %d", rep.Frames, *minFrames)
+	}
+	if *maxReconnects >= 0 && rep.Reconnects > *maxReconnects {
+		log.Fatalf("volload: FAILED: %d reconnects > -max-reconnects %d", rep.Reconnects, *maxReconnects)
 	}
 	// Latency gates run last, after the report has been written/merged, so
 	// a red gate still leaves the measured numbers on disk for triage.

@@ -139,9 +139,11 @@ func main() {
 		if err != nil {
 			return nil, err
 		}
-		log.Printf("volserve: scene %d: %d frames, %.0f KB/frame, %.0f Mbps at 30 FPS",
-			scene, store.NumFrames(), store.AvgFrameBytes()/1e3,
-			codec.BitrateMbps(store.AvgFrameBytes(), 30))
+		// Frame 0 is all the store holds yet: the rest encode behind the
+		// playhead, and averaging over them would wait for the whole build.
+		log.Printf("volserve: scene %d: %d frames, frame 0 %.0f KB, %.0f Mbps at 30 FPS",
+			scene, store.NumFrames(), float64(store.FrameBytes(0))/1e3,
+			codec.BitrateMbps(float64(store.FrameBytes(0)), 30))
 		return store, nil
 	}
 

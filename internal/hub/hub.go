@@ -370,6 +370,11 @@ func (h *Hub) Shutdown() {
 	})
 	h.wg.Wait()
 	forceTimer.Stop()
+	// No store build outlives the hub: the frame loops are gone, so only
+	// the frames encoding behind their playheads remain to wait for.
+	for _, s := range sessions {
+		s.waitStore()
+	}
 	h.cfg.Metrics.Timer("transport.shutdown.drain").Observe(time.Since(start))
 }
 
@@ -408,6 +413,7 @@ func (h *Hub) reaper() {
 		for _, s := range reap {
 			s.cancel()
 			<-s.done // frameLoop exits promptly on a canceled ctx
+			s.waitStore()
 			h.cReaped.Inc()
 			h.cfg.SLO.Forget(s.label)
 			h.cfg.Events.Append(obs.EventReap, s.label, 0,
@@ -545,6 +551,9 @@ func (h *Hub) joinSession(scene uint32) (*session, error) {
 		}
 		close(fl.done)
 		if err != nil {
+			if s != nil {
+				s.waitStore() // built for a hub that is shutting down
+			}
 			return nil, err
 		}
 		return s, nil
@@ -564,6 +573,9 @@ func (h *Hub) buildSession(scene uint32) (*session, error) {
 	if store == nil || store.NumFrames() == 0 {
 		return nil, fmt.Errorf("hub: scene %d has an empty store", scene)
 	}
+	// The store is servable from here on: NewStore returns once frame 0 is
+	// encoded and the rest fill in behind the playhead, so this times the
+	// wait a cold join sees (vivo.build_store times the whole build).
 	h.cBuilt.Inc()
 	h.cfg.Metrics.Timer("hub.store_build").Observe(time.Since(buildStart))
 	fps := h.cfg.FPS
@@ -588,6 +600,7 @@ func (h *Hub) buildSession(scene uint32) (*session, error) {
 	}
 	prefix := "hub.session." + label + "."
 	s.cFrames = h.cfg.Metrics.Counter(prefix + "frames")
+	s.cTickSkips = h.cfg.Metrics.Counter(prefix + "tick_skips")
 	s.cCells = h.cfg.Metrics.Counter(prefix + "cells")
 	s.cBytes = h.cfg.Metrics.Counter(prefix + "bytes")
 	s.cConnects = h.cfg.Metrics.Counter(prefix + "connects")

@@ -434,6 +434,14 @@ func TestCrossSessionCacheSharing(t *testing.T) {
 	// content and must hit the shared encode tier.
 	c0 := rawJoin(t, addr, 1, 0)
 	waitFor(t, "scene 0", 5*time.Second, func() bool { return h.NumSessions() == 1 })
+	// Scene 0 is served from frame 0 on while its later frames still
+	// encode; scene 1 joins once that build has finished.
+	h.mu.Lock()
+	s0 := h.sessions[0]
+	h.mu.Unlock()
+	if err := s0.store.Wait(); err != nil {
+		t.Fatal(err)
+	}
 	c1 := rawJoin(t, addr, 2, 1)
 	waitFor(t, "scene 1", 5*time.Second, func() bool { return h.NumSessions() == 2 })
 

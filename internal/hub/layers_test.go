@@ -39,6 +39,7 @@ func bareSession(t *testing.T, cfg Config) (*Hub, *session) {
 		s.cache.close()
 		s.cancel()
 		h.cancel()
+		s.waitStore()
 	})
 	return h, s
 }

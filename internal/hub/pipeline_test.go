@@ -159,6 +159,69 @@ func TestWriteLoopRecordsSendSpans(t *testing.T) {
 	snap.Check(t)
 }
 
+// TestFlushSpansEveryFrameComplete writes two whole frames in one
+// vectored write: each FrameComplete must get a Send span that covers
+// that write, not just the first (the second used to be recorded with a
+// zero start and zero duration), and a batch ending on a FrameComplete
+// leaves no span open for the next frame.
+func TestFlushSpansEveryFrameComplete(t *testing.T) {
+	tr := obs.New(64)
+	client, server := net.Pipe()
+	defer client.Close()
+	defer server.Close()
+	go io.Copy(io.Discard, client)
+
+	h := &Hub{cfg: Config{Trace: tr, Metrics: metrics.NewRegistry(), WriteTimeout: 10 * time.Second}}
+	w := &batchWriter{s: &session{hub: h}, c: &subscriber{conn: server, sub: 3}, scratch: make([][]byte, maxWriteBatch)}
+	before := time.Since(tr.Epoch())
+	for frame := uint32(1); frame <= 2; frame++ {
+		for _, m := range []wire.Message{
+			&wire.CellData{Frame: frame, CellID: 9, Stride: 1, Payload: make([]byte, 512)},
+			&wire.FrameComplete{Frame: frame, Cells: 1, Bytes: 512},
+		} {
+			b, err := wire.NewBuffer(m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fc := int32(-1)
+			if _, ok := m.(*wire.FrameComplete); ok {
+				fc = int32(frame)
+			}
+			w.batch = append(w.batch, outBuf{buf: b, fc: fc})
+		}
+	}
+	if err := w.flush(); err != nil {
+		t.Fatal(err)
+	}
+	after := time.Since(tr.Epoch())
+
+	var sends []obs.Span
+	for _, sp := range tr.Snapshot() {
+		if sp.Stage == obs.StageSend {
+			sends = append(sends, sp)
+		}
+	}
+	if len(sends) != 2 {
+		t.Fatalf("%d send spans, want one per FrameComplete (2)", len(sends))
+	}
+	for i, sp := range sends {
+		if int(sp.Frame) != i+1 || sp.User != 3 {
+			t.Errorf("span %d is frame %d user %d, want frame %d user 3", i, sp.Frame, sp.User, i+1)
+		}
+		if sp.Start < before.Nanoseconds() || sp.Dur <= 0 || sp.Start+sp.Dur > after.Nanoseconds() {
+			t.Errorf("frame %d send span [%d, +%d] ns does not cover the write inside [%d, %d] ns",
+				sp.Frame, sp.Start, sp.Dur, before.Nanoseconds(), after.Nanoseconds())
+		}
+	}
+	if sends[0].Start != sends[1].Start || sends[0].Dur != sends[1].Dur {
+		t.Errorf("one write, two spans: [%d, +%d] vs [%d, +%d] ns",
+			sends[0].Start, sends[0].Dur, sends[1].Start, sends[1].Dur)
+	}
+	if !w.sendStart.IsZero() || w.sendDur != 0 {
+		t.Error("a batch ending on a FrameComplete left a send span open")
+	}
+}
+
 // TestWriterShortWrite drives the vectored writer into a faultnet
 // short-write: the client must observe a valid prefix of the stream
 // followed by a prompt connection error (no hang, no corrupt frame

@@ -52,7 +52,11 @@ type session struct {
 
 	// Per-session counters (hub.session.<scene>.*), resolved once at
 	// build time so the frame loop never does registry lookups.
-	cFrames, cCells, cBytes   *metrics.Counter
+	cFrames, cCells, cBytes *metrics.Counter
+	// cTickSkips counts frame periods the frame loop let pass without a
+	// frame: the ticker drops ticks while pushFrame overruns its period,
+	// whether on a slow fan-out or on a frame still being encoded.
+	cTickSkips                *metrics.Counter
 	cConnects, cDisconnects   *metrics.Counter
 	cDropsEnqueue, cDropsSlow *metrics.Counter
 	cPullHits, cPullMisses    *metrics.Counter
@@ -342,22 +346,40 @@ func (s *session) closeAll() {
 
 // frameLoop ticks at the session's content rate and pushes each frame's
 // cells to every subscriber, with multicast marking for shared cells.
+// A time.Ticker drops the ticks that fall due while pushFrame runs past
+// its period, so the loop counts them: every period elapsed since the
+// loop started is either a tick handled or a tick skipped.
 func (s *session) frameLoop() {
 	defer s.hub.wg.Done()
 	defer close(s.done)
 	defer s.cache.close()
 	interval := time.Second / time.Duration(s.fps)
+	start := time.Now()
 	ticker := time.NewTicker(interval)
 	defer ticker.Stop()
 	frame := 0
+	accounted := int64(0) // periods handled or counted as skipped
 	for {
 		select {
 		case <-s.ctx.Done():
 			return
 		case <-ticker.C:
 		}
+		accounted++
+		if skipped := int64(time.Since(start)/interval) - accounted; skipped > 0 {
+			s.cTickSkips.Add(skipped)
+			accounted += skipped
+		}
 		s.pushFrame(frame)
 		frame++
+	}
+}
+
+// waitStore waits until the session's store is fully encoded, logging a
+// failed build: teardown calls it so no build outlives the hub.
+func (s *session) waitStore() {
+	if err := s.store.Wait(); err != nil {
+		s.hub.cfg.Logf("hub: scene %d store build: %v", s.scene, err)
 	}
 }
 
@@ -410,8 +432,13 @@ func (s *session) pushFrame(frame int) {
 	cfg := &s.hub.cfg
 	frameStart := time.Now()
 	fi := frame % s.store.NumFrames()
-	occ := s.store.Frame(fi).Occupied
+	fb := s.store.Frame(fi) // waits while the frame is still being encoded
+	if fb == nil {
+		return // its encode failed; waitStore logs the build error
+	}
+	occ := fb.Occupied
 
+	cullStart := time.Now()
 	cull := cfg.Trace.Begin(frame, obs.PipelineUser, obs.StageCull)
 	reqs := make([]vivo.Request, len(subs))
 	isPull := make([]bool, len(subs))
@@ -437,7 +464,7 @@ func (s *session) pushFrame(frame int) {
 		}
 	}
 	cull.End()
-	if b := cfg.Trace.StageBudget(obs.StageCull); b > 0 && time.Since(frameStart) > b {
+	if b := cfg.Trace.StageBudget(obs.StageCull); b > 0 && time.Since(cullStart) > b {
 		s.cViolCull.Inc()
 		s.wBudgetViol.Add(1)
 	}
@@ -696,7 +723,8 @@ type batchWriter struct {
 	batch   []outBuf
 	scratch [][]byte
 	// sendStart/sendDur accumulate the Send span across partial batches
-	// until a FrameComplete closes it out.
+	// until a FrameComplete closes it out; a later FrameComplete in the
+	// same batch gets that batch's write as its span.
 	sendStart time.Time
 	sendDur   time.Duration
 	// Deadline and send budget resolved once: the windowed miss/violation
@@ -724,21 +752,27 @@ func (w *batchWriter) flush() error {
 	w.c.conn.SetWriteDeadline(time.Now().Add(cfg.WriteTimeout))
 	t0 := time.Now()
 	_, err := nb.WriteTo(w.c.conn)
+	took := time.Since(t0)
 	if w.sendStart.IsZero() {
 		w.sendStart = t0
 	}
-	w.sendDur += time.Since(t0)
+	w.sendDur += took
 	for i := range w.batch {
 		w.scratch[i] = nil
 	}
-	for _, b := range w.batch {
+	for i, b := range w.batch {
 		if err == nil && b.fc >= 0 {
 			cfg.Trace.Record(int(b.fc), int(w.c.sub), obs.StageSend, w.sendStart, w.sendDur)
 			if w.sendBudget > 0 && w.sendDur > w.sendBudget {
 				w.s.cViolSend.Inc()
 				w.s.wBudgetViol.Add(1)
 			}
-			w.sendStart, w.sendDur = time.Time{}, 0
+			// The rest of this batch went out in the same write; a frame
+			// that starts after it begins its span with its own write.
+			w.sendStart, w.sendDur = t0, took
+			if i == len(w.batch)-1 {
+				w.sendStart, w.sendDur = time.Time{}, 0
+			}
 			// The frame is on the socket: t0→now is its delivered
 			// latency for the windowed SLO plane.
 			if !b.t0.IsZero() {

@@ -42,8 +42,12 @@ var (
 	ErrBadContainer = errors.New("vivo: bad container")
 )
 
-// WriteStore serializes the store.
+// WriteStore serializes the store, first waiting for a progressive
+// build to finish (a failed build is not written).
 func WriteStore(w io.Writer, s *Store) error {
+	if err := s.Wait(); err != nil {
+		return err
+	}
 	bw := bufio.NewWriterSize(w, 1<<20)
 	if _, err := bw.Write(storeMagic[:]); err != nil {
 		return err

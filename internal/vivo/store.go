@@ -33,17 +33,34 @@ type FrameBlocks struct {
 // density rungs served as layer prefixes of that single encode. It is
 // the data source for both the offline experiments and the TCP
 // streaming server.
+//
+// A store from BuildStore fills in progressively, in playback order:
+// every read of a frame (Frame and everything built on it) waits until
+// that frame is encoded, so no reader ever sees a partly built frame.
 type Store struct {
 	grid    *cell.Grid
 	strides []int
 	ladder  tier.Ladder
 	frames  []*FrameBlocks
 	fps     int
+	// ready[fi] closes once frames[fi] is written; nil when every frame
+	// was present at construction.
+	ready []chan struct{}
+	// built closes once the background build has finished; err, written
+	// before that close, is its outcome.
+	built chan struct{}
+	err   error
 }
 
-// BuildStore partitions and encodes the whole video, spreading frames
-// across the par pool (the encoder is stateless). The strides slice must
-// include 1 (full density); it is sorted and deduplicated. Frame slots
+// BuildStore partitions and encodes the video in playback order. It
+// encodes frame 0, returns the store, and keeps encoding frames 1…N−1
+// one at a time in index order in the background. Each frame's cells
+// are spread across the par pool (the encoder is stateless), so frame k
+// is ready as early as the pool allows: the build stays ahead of a frame
+// loop started at frame 0 whenever a frame encodes within one frame
+// period. Reads of a frame wait
+// for it, and Wait waits for the whole video. The strides slice must
+// include 1 (full density); it is sorted and deduplicated. Cell slots
 // are filled by index, so the store is identical for any pool width.
 //
 // With more than one rung, each cell is encoded exactly once as a
@@ -68,7 +85,12 @@ func BuildStore(v *pointcloud.Video, g *cell.Grid, enc *codec.Encoder, strides [
 	if len(ss) > 1 {
 		enc = enc.Layered(uint8(len(ss)))
 	}
-	st := &Store{grid: g, strides: ss, ladder: tier.New(ss), fps: v.FPS, frames: make([]*FrameBlocks, len(v.Frames))}
+	n := len(v.Frames)
+	st := &Store{grid: g, strides: ss, ladder: tier.New(ss), fps: v.FPS,
+		frames: make([]*FrameBlocks, n), ready: make([]chan struct{}, n), built: make(chan struct{})}
+	for fi := range st.ready {
+		st.ready[fi] = make(chan struct{})
+	}
 
 	// Wall-clock sampling happens inside the obs/metrics layers (Begin/End,
 	// Time, TimeMillis) — the build path itself never reads the clock, so
@@ -77,18 +99,43 @@ func BuildStore(v *pointcloud.Video, g *cell.Grid, enc *codec.Encoder, strides [
 	reg := metrics.Default()
 	tr := obs.Default()
 	stopBuild := reg.Timer("vivo.build_store").Time()
-	if err := par.ForEach(context.Background(), len(v.Frames), func(fi int) error {
+	encode := func(fi int) error {
+		defer close(st.ready[fi])
 		sp := tr.Begin(fi, obs.PipelineUser, obs.StageEncode)
 		stopFrame := reg.Histogram("vivo.encode_frame_ms", nil).TimeMillis()
-		st.frames[fi] = encodeFrame(v.Frames[fi], g, enc, ss)
+		fb, err := encodeFrame(v.Frames[fi], g, enc, ss)
 		stopFrame()
 		sp.End()
+		if err != nil {
+			return err
+		}
+		st.frames[fi] = fb
+		reg.Counter("vivo.frames_encoded").Inc()
 		return nil
-	}); err != nil {
-		return nil, err
 	}
-	stopBuild()
-	reg.Counter("vivo.frames_encoded").Add(int64(len(v.Frames)))
+	if n > 0 {
+		if err := encode(0); err != nil {
+			return nil, err
+		}
+	}
+	go func() {
+		var err error
+		for fi := 1; fi < n && err == nil; fi++ {
+			err = encode(fi)
+		}
+		// A failed frame stops the build: release the readers of the
+		// frames it never reached (they read nil, as the failed one does).
+		for _, ch := range st.ready {
+			select {
+			case <-ch:
+			default:
+				close(ch)
+			}
+		}
+		stopBuild()
+		st.err = err
+		close(st.built)
+	}()
 	return st, nil
 }
 
@@ -105,47 +152,63 @@ func NewStore(g *cell.Grid, strides []int, fps int, frames []*FrameBlocks) (*Sto
 	return &Store{grid: g, strides: ss, ladder: tier.New(ss), fps: fps, frames: frames}, nil
 }
 
-// encodeFrame partitions and encodes one frame: each cell once, with
-// every coarser stride's entry a layer-prefix view of the full block.
-// A single-rung ladder (or a non-layered encoder) keeps the flat
-// one-encode-per-stride path.
-func encodeFrame(frame *pointcloud.Cloud, g *cell.Grid, enc *codec.Encoder, ss []int) *FrameBlocks {
-	fb := &FrameBlocks{
-		Occupied: g.OccupiedCells(frame),
-		ByStride: make(map[int]map[cell.ID]*codec.Block, len(ss)),
+// Wait blocks until every frame is encoded and returns the build's
+// error, if any; frames a failed build never produced read as nil.
+// Stores not built by BuildStore are complete from the start.
+func (s *Store) Wait() error {
+	if s.built == nil {
+		return nil
 	}
+	<-s.built
+	return s.err
+}
+
+// encodeFrame partitions and encodes one frame, spreading its cells over
+// the par pool: each cell once, with every coarser stride's entry a
+// layer-prefix view of the full block. A single-rung ladder (or a
+// non-layered encoder) keeps the flat one-encode-per-stride path.
+func encodeFrame(frame *pointcloud.Cloud, g *cell.Grid, enc *codec.Encoder, ss []int) (*FrameBlocks, error) {
+	occ := g.OccupiedCells(frame)
 	parts := g.Partition(frame)
-	if enc.Params().Layers > 0 {
-		full := make(map[cell.ID]*codec.Block, len(parts))
-		for id, idxs := range parts {
-			full[id] = enc.EncodeCell(id, frame, idxs, g.Bounds(id))
-		}
-		fb.ByStride[ss[0]] = full
-		lad := tier.New(ss)
-		for r := 1; r < len(ss); r++ {
-			m := make(map[cell.ID]*codec.Block, len(full))
-			for id, b := range full {
-				m[id] = b.TierView(lad.LayersFor(r, b.Layers()))
+	ids := occ.IDs()
+	layered := enc.Params().Layers > 0
+	lad := tier.New(ss)
+	rows := make([][]*codec.Block, len(ids)) // per cell, one block per rung
+	if err := par.ForEach(context.Background(), len(ids), func(i int) error {
+		id, idxs, bounds := ids[i], parts[ids[i]], g.Bounds(ids[i])
+		row := make([]*codec.Block, len(ss))
+		if layered {
+			full := enc.EncodeCell(id, frame, idxs, bounds)
+			row[0] = full
+			for r := 1; r < len(ss); r++ {
+				row[r] = full.TierView(lad.LayersFor(r, full.Layers()))
 			}
-			fb.ByStride[ss[r]] = m
-		}
-		return fb
-	}
-	for _, stride := range ss {
-		m := make(map[cell.ID]*codec.Block, len(parts))
-		for id, idxs := range parts {
-			sub := idxs
-			if stride > 1 {
-				sub = sub[:0:0]
-				for i := 0; i < len(idxs); i += stride {
-					sub = append(sub, idxs[i])
+		} else {
+			for r, stride := range ss {
+				sub := idxs
+				if stride > 1 {
+					sub = sub[:0:0]
+					for k := 0; k < len(idxs); k += stride {
+						sub = append(sub, idxs[k])
+					}
 				}
+				row[r] = enc.EncodeCell(id, frame, sub, bounds)
 			}
-			m[id] = enc.EncodeCell(id, frame, sub, g.Bounds(id))
+		}
+		rows[i] = row
+		return nil
+	}); err != nil {
+		return nil, err
+	}
+	fb := &FrameBlocks{Occupied: occ, ByStride: make(map[int]map[cell.ID]*codec.Block, len(ss))}
+	for r, stride := range ss {
+		m := make(map[cell.ID]*codec.Block, len(ids))
+		for i, id := range ids {
+			m[id] = rows[i][r]
 		}
 		fb.ByStride[stride] = m
 	}
-	return fb
+	return fb, nil
 }
 
 func dedupSorted(in []int) []int {
@@ -175,7 +238,8 @@ func (s *Store) NumFrames() int { return len(s.frames) }
 // Strides returns the prepared density ladder.
 func (s *Store) Strides() []int { return append([]int(nil), s.strides...) }
 
-// Frame returns frame fi's blocks (fi wraps around for looped playback).
+// Frame returns frame fi's blocks (fi wraps around for looped playback),
+// waiting until the frame is encoded.
 func (s *Store) Frame(fi int) *FrameBlocks {
 	if len(s.frames) == 0 {
 		return nil
@@ -183,6 +247,9 @@ func (s *Store) Frame(fi int) *FrameBlocks {
 	fi %= len(s.frames)
 	if fi < 0 {
 		fi += len(s.frames)
+	}
+	if s.ready != nil {
+		<-s.ready[fi]
 	}
 	return s.frames[fi]
 }
