@@ -1,7 +1,7 @@
 GO ?= go
 BENCH_OUT ?= BENCH_$(shell date +%Y-%m-%d).json
 
-.PHONY: build test race vet fmt-check lint lint-bench bench trace-smoke chaos-smoke loadtest-smoke latency-smoke slo-smoke layer-smoke join-smoke verify
+.PHONY: build test race vet fmt-check lint lint-bench bench trace-smoke chaos-smoke loadtest-smoke latency-smoke slo-smoke layer-smoke join-smoke scale-smoke verify
 
 build:
 	$(GO) build ./...
@@ -125,6 +125,19 @@ layer-smoke:
 join-smoke:
 	$(GO) run ./cmd/volload -sessions 1 -clients 4 -points 330000 \
 		-duration 12s -load-seed 42 -max-reconnects 0
+
+# scale-smoke is the fan-out gate at scale: 8 scenes × 500 clients, seed
+# 42. p99 frame latency must stay within one 33 ms frame and at least
+# 90000 frames must arrive. On a 2-vCPU host (go1.24) the sequential
+# fan-out delivered 120385, 112502, 120630, 113382, 109104, 109428,
+# 117072 and 115170 frames at p99 0.1–0.2 ms; the pooled parallel
+# fan-out it replaced delivered 95421, 103952, 100225 and 106089 frames
+# at p99 285, 207, 213 and 199 ms and fails the p99 bound. The frame
+# floor is about 80% of the lowest sequential run. SLO breaches are not gated: at 500 in-process clients
+# on 2 vCPUs the hub's own push→socket p99 is about 230 ms either way.
+scale-smoke:
+	$(GO) run ./cmd/volload -sessions 8 -clients 500 -duration 10s \
+		-load-seed 42 -max-p99 33 -min-frames 90000
 
 # verify is the CI gate: static checks (vet, gofmt, vollint), a full
 # build, and the test suite under the race detector (the parallel

@@ -176,7 +176,7 @@ func runExport(args []string) error {
 		return err
 	}
 	var dec codec.Decoder
-	cloud, err := dec.DecodeFrame(store.Frame(*frame).ByStride[1])
+	cloud, err := dec.DecodeFrame(store.Frame(*frame).Blocks)
 	if err != nil {
 		return err
 	}

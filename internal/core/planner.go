@@ -156,11 +156,10 @@ func overlapBytes(store *vivo.Store, frame int, reqs []vivo.Request, members []i
 			}
 		}
 	}
+	size := store.SizeOracle(frame)
 	total := 0
 	for id, st := range common {
-		if b := store.Block(frame, id, st); b != nil {
-			total += b.Size()
-		}
+		total += size(id, st)
 	}
 	return total
 }

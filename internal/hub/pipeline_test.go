@@ -10,26 +10,22 @@ import (
 	"testing"
 	"time"
 
+	"volcast/internal/cell"
 	"volcast/internal/codec"
 	"volcast/internal/faultnet"
 	"volcast/internal/metrics"
 	"volcast/internal/obs"
-	"volcast/internal/par"
 	"volcast/internal/testutil/leakcheck"
 	"volcast/internal/vivo"
 	"volcast/internal/wire"
 )
 
-// TestPushFrameCellOrdering proves the pipelined fan-out preserves each
-// subscriber's cell order even when serialization runs on a wide worker
-// pool that completes slots out of order: every delivered frame's cell
-// sequence must equal the visibility request order, for every subscriber.
+// TestPushFrameCellOrdering proves the fan-out preserves each
+// subscriber's cell order while several subscribers share the frame's
+// serialized buffers: every delivered frame's cell sequence must equal
+// the visibility request order, for every subscriber.
 func TestPushFrameCellOrdering(t *testing.T) {
 	snap := leakcheck.Take()
-	old := par.Workers()
-	par.SetWorkers(8)
-	t.Cleanup(func() { par.SetWorkers(old) })
-
 	h, addr := startHub(t, Config{
 		NewStore: testFactory(nil), HeartbeatEvery: -1, ReapAfter: -1,
 		Vanilla: true,
@@ -104,6 +100,70 @@ func TestPushFrameCellOrdering(t *testing.T) {
 	}
 	h.Shutdown()
 	snap.Check(t)
+}
+
+// TestFullQueueEndsSubscriberFrame: a subscriber whose queue fills
+// mid-frame gets no cell after the failed enqueue — the frame ends for
+// it there — and its delivery memory and cell accounting list only what
+// was enqueued, while a second subscriber in the same frame still gets
+// every cell and a FrameComplete that counts them all.
+func TestFullQueueEndsSubscriberFrame(t *testing.T) {
+	reg := metrics.NewRegistry()
+	_, s := bareSession(t, Config{NewStore: testFactory(nil), Vanilla: true, Metrics: reg})
+	want := vivo.VanillaRequest(s.store.Frame(0).Occupied).Cells
+	if len(want) < 4 {
+		t.Fatalf("frame 0 has %d cells, need at least 4", len(want))
+	}
+	room := len(want) / 2
+
+	full := bareSub(0, true)
+	full.out = make(chan outBuf, room) // fills halfway through the frame
+	roomy := bareSub(0, true)
+	if !s.addSub(full) || !s.addSub(roomy) {
+		t.Fatal("addSub")
+	}
+	s.pushFrame(0)
+
+	got := cellDatas(drainMsgs(t, full))
+	if len(got) != room {
+		t.Fatalf("full subscriber got %d messages, want its %d queue slots of cells", len(got), room)
+	}
+	for i, cd := range got {
+		if cell.ID(cd.CellID) != want[i].ID {
+			t.Fatalf("full subscriber cell %d is %d, want %d (request order)", i, cd.CellID, want[i].ID)
+		}
+	}
+	if len(full.sent) != room {
+		t.Errorf("full subscriber's sent map lists %d cells, want the %d enqueued", len(full.sent), room)
+	}
+	for _, cr := range want[:room] {
+		if _, ok := full.sent[cr.ID]; !ok {
+			t.Errorf("sent map lacks enqueued cell %d", cr.ID)
+		}
+	}
+
+	msgs := drainMsgs(t, roomy)
+	if cds := cellDatas(msgs); len(cds) != len(want) {
+		t.Fatalf("second subscriber got %d cells, want %d", len(cds), len(want))
+	}
+	fc, ok := msgs[len(msgs)-1].(*wire.FrameComplete)
+	if !ok || fc.Cells != uint32(len(want)) {
+		t.Fatalf("second subscriber's last message %v, want a FrameComplete counting %d cells", msgs[len(msgs)-1], len(want))
+	}
+	if len(roomy.sent) != len(want) {
+		t.Errorf("second subscriber's sent map lists %d cells, want %d", len(roomy.sent), len(want))
+	}
+	// The full subscriber's FrameComplete found no room either; the frame
+	// counters carry the per-subscriber counts that FrameComplete reports,
+	// and only two enqueues failed: the first cell past the full queue
+	// (nothing later was attempted) and the FrameComplete.
+	snap := reg.Snapshot().Counters
+	if got, wantCells := snap["hub.session.0.cells"], int64(room+len(want)); got != wantCells {
+		t.Errorf("hub.session.0.cells = %d, want %d (%d enqueued + %d)", got, wantCells, room, len(want))
+	}
+	if got := snap["hub.session.0.drops.enqueue"]; got != 2 {
+		t.Errorf("hub.session.0.drops.enqueue = %d, want 2 (one cell, one FrameComplete)", got)
+	}
 }
 
 // TestWriteLoopRecordsSendSpans asserts the hub send path's stage

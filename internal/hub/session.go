@@ -12,7 +12,6 @@ import (
 	"volcast/internal/geom"
 	"volcast/internal/metrics"
 	"volcast/internal/obs"
-	"volcast/internal/par"
 	"volcast/internal/tier"
 	"volcast/internal/vivo"
 	"volcast/internal/wire"
@@ -60,10 +59,6 @@ type session struct {
 	cConnects, cDisconnects   *metrics.Counter
 	cDropsEnqueue, cDropsSlow *metrics.Counter
 	cPullHits, cPullMisses    *metrics.Counter
-	// cDegradeFallbacks counts slots whose block was missing at the
-	// degraded rung and was served from another prepared rung instead of
-	// being silently dropped (hub.session.<scene>.degrade.fallbacks).
-	cDegradeFallbacks *metrics.Counter
 	// Per-stage budget-violation counters
 	// (hub.session.<scene>.budget_violations.*).
 	cViolCull, cViolSerialize, cViolSend *metrics.Counter
@@ -186,14 +181,8 @@ type frameCache struct {
 }
 
 // install replaces the table with a pushed frame's buffers, taking
-// ownership of one reference per non-nil slot.
-func (fc *frameCache) install(frame uint32, keys []bufKey, slots []*wire.Buffer) {
-	m := make(map[bufKey]*wire.Buffer, len(keys))
-	for j, k := range keys {
-		if slots[j] != nil {
-			m[k] = slots[j]
-		}
-	}
+// ownership of one reference per buffer.
+func (fc *frameCache) install(frame uint32, m map[bufKey]*wire.Buffer) {
 	fc.mu.Lock()
 	if fc.dead {
 		fc.mu.Unlock()
@@ -403,27 +392,36 @@ type bufKey struct {
 	base   int
 }
 
-// slotMeta carries the planning loop's block resolution to the
-// serialization workers: the cell's full layered block (nil = flat
-// store, resolve per stride in the worker) and the layer-prefix length
-// the slot's rung consumes.
-type slotMeta struct {
-	blk    *codec.Block
-	layers int
+// cellData is the CellData message of key k for frame: the first
+// `layers` layers of the cell's block, or with k.base > 0 only the
+// enhancement layers above the held base prefix. Every tier slices the
+// one encode, so the payload aliases the store's block.
+func cellData(frame uint32, k bufKey, blk *codec.Block, layers int) *wire.CellData {
+	payload := blk.Prefix(layers)
+	if k.base > 0 {
+		payload = blk.Delta(k.base, layers)
+	}
+	return &wire.CellData{
+		Frame:      frame,
+		CellID:     uint32(k.id),
+		Stride:     tier.WireStride(k.stride),
+		Payload:    payload,
+		Layers:     uint8(layers),
+		BaseLayers: uint8(k.base),
+	}
 }
 
-// pushFrame computes per-subscriber requests for one frame and fans the
-// cell bursts out as a bounded producer pipeline. Each (cell, stride) is
-// serialized exactly once into an immutable pooled buffer shared by every
+// pushFrame computes per-subscriber requests for one frame and hands
+// each push subscriber its cells, in its visibility-ranked order, then
+// its FrameComplete. Each (cell, rung, delta base) is serialized once,
+// on first use, into an immutable pooled buffer shared by every
 // subscriber that needs it — encode once, serialize once, enqueue N
-// times — and, unlike the old barriered path, each buffer is enqueued the
-// moment its serialization completes: a par worker pool fills the slot
-// table while the dispatcher advances per-subscriber cursors over it, so
-// the first cell's socket write overlaps the last cell's encode. Cursors
-// preserve each subscriber's visibility-ranked cell order, FrameComplete
-// stays last, and an unenqueueable subscriber degrades then drops frames
-// exactly as before. The multicast bit is stable per frame (it depends
-// only on the request overlap), so it lives inside the shared buffer too.
+// times. The buffers only frame pre-encoded block bytes, so one
+// sequential pass is cheaper than spreading them over workers. A failed
+// enqueue ends that subscriber's frame; a subscriber that cannot even
+// take its FrameComplete moves toward the slow-client drop. The
+// multicast bit is stable per frame (it depends only on the request
+// overlap), so it lives inside the shared buffer too.
 func (s *session) pushFrame(frame int) {
 	subs := s.snapshotSubs()
 	if len(subs) == 0 {
@@ -469,187 +467,82 @@ func (s *session) pushFrame(frame int) {
 		s.wBudgetViol.Add(1)
 	}
 
-	// Plan the fan-out: dedupe (cell, rung, delta-base) triples into a
-	// slot index and give every push subscriber an ordered cursor walk
-	// over it. Degradation is decided up front (it reads the live queue
-	// depth), so the plans are immutable for the rest of the frame. The
+	// Plan and enqueue, one subscriber at a time. Degradation reads the
+	// subscriber's live queue depth before any of its cells go out. The
 	// degrade shift snaps onto the prepared ladder — it saturates at the
 	// coarsest rung instead of shifting past it and wrapping the wire's
 	// uint8 stride. A layer-aware subscriber that already holds the very
-	// block at a shallower prefix gets a delta slot (base > 0): only the
+	// block at a shallower prefix gets a delta (base > 0): only the
 	// enhancement layers, the rest is already client-side.
 	serStart := time.Now()
 	lad := s.store.Ladder()
-	keyIdx := map[bufKey]int{}
-	var keys []bufKey
-	var meta []slotMeta
-	plans := make([][]int, len(subs))
-	for i, c := range subs {
-		if isPull[i] {
-			continue
-		}
-		degrade := s.adapt(c, len(reqs[i].Cells))
-		plan := make([]int, 0, len(reqs[i].Cells))
-		for _, cr := range reqs[i].Cells {
-			eff, _ := lad.Degrade(cr.Stride, degrade)
-			rung := lad.RungFor(eff)
-			k := bufKey{id: cr.ID, stride: lad.StrideAt(rung)}
-			m := slotMeta{}
-			if blk := s.store.LayeredBlock(fi, cr.ID); blk != nil && blk.Layers() > 1 {
-				m = slotMeta{blk: blk, layers: lad.LayersFor(rung, blk.Layers())}
-				if c.layers {
-					if prev, ok := c.sent[cr.ID]; ok && prev.blk == blk && prev.layers < m.layers {
-						k.base = prev.layers
-					}
-				}
-			}
-			idx, ok := keyIdx[k]
-			if !ok {
-				idx = len(keys)
-				keyIdx[k] = idx
-				keys = append(keys, k)
-				meta = append(meta, m)
-			}
-			plan = append(plan, idx)
-		}
-		plans[i] = plan
-	}
-
-	// Serialize every slot once, in parallel. Workers publish completed
-	// slot indices through the buffered ready channel — the send gives the
-	// dispatcher its happens-before on the slot write. A nil slot is a
-	// miss (no block at any rung, or a serialize error). Every tier of a
-	// layered cell slices the same encode: the base-layer bytes degraded
-	// subscribers receive alias the full block's buffer.
-	slots := make([]*wire.Buffer, len(keys))
-	ready := make(chan int, len(keys))
-	go func() {
-		par.ForEach(s.ctx, len(keys), func(j int) error {
-			k := keys[j]
-			var payload []byte
-			var layersOut, baseOut uint8
-			if m := meta[j]; m.blk != nil {
-				if k.base > 0 {
-					payload = m.blk.Delta(k.base, m.layers)
-				} else {
-					payload = m.blk.Prefix(m.layers)
-				}
-				layersOut, baseOut = uint8(m.layers), uint8(k.base)
-			} else if blk := s.resolveBlock(fi, k.id, k.stride); blk != nil {
-				payload = blk.Data
-			}
-			if payload != nil {
-				b, err := wire.NewBuffer(&wire.CellData{
-					Frame:      uint32(frame),
-					CellID:     uint32(k.id),
-					Stride:     tier.WireStride(k.stride),
-					Multicast:  counts[k.id] > 1,
-					Payload:    payload,
-					Layers:     layersOut,
-					BaseLayers: baseOut,
-				})
-				if err != nil {
-					cfg.Metrics.Counter("hub.serialize.errors").Inc()
-					cfg.Logf("hub: scene %d cell %d serialize: %v", s.scene, k.id, err)
-				} else {
-					slots[j] = b
-				}
-			}
-			ready <- j
-			return nil
-		})
-		close(ready)
-	}()
-
-	// Dispatch: as slots become ready, advance each subscriber's cursor
-	// past every ready-in-order cell, enqueueing the shared buffer (one
-	// reference per subscriber). A failed enqueue marks the subscriber
-	// dead for the rest of the frame — its cursor keeps advancing so the
-	// bookkeeping finishes, but nothing more is queued.
-	isReady := make([]bool, len(keys))
-	cursor := make([]int, len(subs))
-	dead := make([]bool, len(subs))
-	cells := make([]uint64, len(subs))
-	bytes := make([]uint64, len(subs))
-	advance := func(i int) {
-		c := subs[i]
-		plan := plans[i]
-		for cursor[i] < len(plan) {
-			j := plan[cursor[i]]
-			if !isReady[j] {
-				return
-			}
-			cursor[i]++
-			b := slots[j]
-			if b == nil || dead[i] {
-				continue
-			}
-			n := b.Len()
-			b.Retain(1)
-			if !s.enqueue(c, outBuf{buf: b, fc: -1}) {
-				dead[i] = true
-				continue
-			}
-			cells[i]++
-			bytes[i] += uint64(n)
-			// Record what the client now holds — only on a successful
-			// enqueue, so a dropped buffer leaves the delivery memory
-			// describing the client's true state.
-			if m := meta[j]; m.blk != nil {
-				c.sent[keys[j].id] = sentCell{blk: m.blk, layers: m.layers}
-			}
-		}
-	}
-	for j := range ready {
-		isReady[j] = true
-		for i := range subs {
-			if !isPull[i] {
-				advance(i)
-			}
-		}
-	}
-	// ready closed: every slot either completed or was abandoned on
-	// shutdown. Force the cursors through whatever remains (abandoned
-	// slots read as misses).
-	for j := range isReady {
-		isReady[j] = true
-	}
-	for i := range subs {
-		if !isPull[i] {
-			advance(i)
-		}
-	}
-	if b := cfg.Trace.StageBudget(obs.StageSerialize); b > 0 && time.Since(serStart) > b {
-		s.cViolSerialize.Inc()
-		s.wBudgetViol.Add(1)
-	}
-
-	// FrameComplete, last, per subscriber — but the payload only depends
-	// on (frame, cells, bytes), so identical verdicts share one buffer
-	// instead of being re-serialized N times.
+	bufs := map[bufKey]*wire.Buffer{} // nil entry: serialize failed
 	type fcKey struct{ cells, bytes uint64 }
 	fcBufs := map[fcKey]*wire.Buffer{}
 	for i, c := range subs {
 		if isPull[i] {
 			continue
 		}
-		k := fcKey{cells[i], bytes[i]}
-		fb, cached := fcBufs[k]
+		degrade := s.adapt(c, len(reqs[i].Cells))
+		var cells, bytes uint64
+		for _, cr := range reqs[i].Cells {
+			blk := fb.Blocks[cr.ID]
+			eff, _ := lad.Degrade(cr.Stride, degrade)
+			rung := lad.RungFor(eff)
+			layers := lad.LayersFor(rung, blk.Layers())
+			k := bufKey{id: cr.ID, stride: lad.StrideAt(rung)}
+			if c.layers {
+				if prev, ok := c.sent[cr.ID]; ok && prev.blk == blk && prev.layers < layers {
+					k.base = prev.layers
+				}
+			}
+			b, ok := bufs[k]
+			if !ok {
+				m := cellData(uint32(frame), k, blk, layers)
+				m.Multicast = counts[k.id] > 1
+				var err error
+				if b, err = wire.NewBuffer(m); err != nil {
+					cfg.Metrics.Counter("hub.serialize.errors").Inc()
+					cfg.Logf("hub: scene %d cell %d serialize: %v", s.scene, k.id, err)
+				}
+				bufs[k] = b
+			}
+			if b == nil {
+				continue
+			}
+			n := b.Len()
+			b.Retain(1)
+			if !s.enqueue(c, outBuf{buf: b, fc: -1}) {
+				break
+			}
+			cells++
+			bytes += uint64(n)
+			// Record what the client now holds — only on a successful
+			// enqueue, so a dropped buffer leaves the delivery memory
+			// describing the client's true state.
+			c.sent[cr.ID] = sentCell{blk: blk, layers: layers}
+		}
+
+		// FrameComplete, last — its payload only depends on (frame,
+		// cells, bytes), so identical verdicts share one buffer instead
+		// of being re-serialized per subscriber.
+		k := fcKey{cells, bytes}
+		fcb, cached := fcBufs[k]
 		if !cached {
 			var err error
-			fb, err = wire.NewBuffer(&wire.FrameComplete{
-				Frame: uint32(frame), Cells: uint32(cells[i]), Bytes: bytes[i],
+			fcb, err = wire.NewBuffer(&wire.FrameComplete{
+				Frame: uint32(frame), Cells: uint32(cells), Bytes: bytes,
 			})
 			if err != nil {
 				cfg.Metrics.Counter("hub.serialize.errors").Inc()
-				fb = nil
+				fcb = nil
 			}
-			fcBufs[k] = fb
+			fcBufs[k] = fcb
 		}
 		fcOK := false
-		if fb != nil {
-			fb.Retain(1)
-			fcOK = s.enqueue(c, outBuf{buf: fb, fc: int32(frame), t0: frameStart})
+		if fcb != nil {
+			fcb.Retain(1)
+			fcOK = s.enqueue(c, outBuf{buf: fcb, fc: int32(frame), t0: frameStart})
 		}
 		if !fcOK {
 			// Never delivered: the writer will not see this frame, so the
@@ -658,49 +551,31 @@ func (s *session) pushFrame(frame int) {
 			s.wMisses.Add(1)
 		}
 		cfg.Trace.Record(frame, int(c.sub), obs.StageSerialize, serStart, time.Since(serStart))
-		s.cCells.Add(int64(cells[i]))
-		s.cBytes.Add(int64(bytes[i]))
+		s.cCells.Add(int64(cells))
+		s.cBytes.Add(int64(bytes))
 		s.noteSlowClient(c, fcOK)
 	}
-	for _, fb := range fcBufs {
-		if fb != nil {
-			fb.Release()
+	if b := cfg.Trace.StageBudget(obs.StageSerialize); b > 0 && time.Since(serStart) > b {
+		s.cViolSerialize.Inc()
+		s.wBudgetViol.Add(1)
+	}
+	for _, fcb := range fcBufs {
+		if fcb != nil {
+			fcb.Release()
 		}
 	}
 
-	// Hand the slot table (and its references) to the frame cache so pull
-	// requests for this frame reuse the serialized bytes.
-	if len(keys) > 0 {
-		s.cache.install(uint32(frame), keys, slots)
+	// Hand the frame's cell buffers (and their references) to the frame
+	// cache so pull requests for this frame reuse the serialized bytes.
+	for k, b := range bufs {
+		if b == nil {
+			delete(bufs, k)
+		}
+	}
+	if len(bufs) > 0 {
+		s.cache.install(uint32(frame), bufs)
 	}
 	s.cFrames.Inc()
-}
-
-// resolveBlock finds a cell's block at the requested (already prepared)
-// stride, falling back to the nearest other prepared rung — denser
-// first, then coarser — when that rung's map has a hole (a partially
-// ingested store). A fallback counts under degrade.fallbacks; before it
-// existed a degraded request whose rung was missing silently dropped
-// the cell even though other rungs held it.
-func (s *session) resolveBlock(fi int, id cell.ID, stride int) *codec.Block {
-	if blk := s.store.Block(fi, id, stride); blk != nil {
-		return blk
-	}
-	lad := s.store.Ladder()
-	want := lad.RungFor(stride)
-	for r := want - 1; r >= 0; r-- {
-		if blk := s.store.Block(fi, id, lad.StrideAt(r)); blk != nil {
-			s.cDegradeFallbacks.Inc()
-			return blk
-		}
-	}
-	for r := want + 1; r < lad.Rungs(); r++ {
-		if blk := s.store.Block(fi, id, lad.StrideAt(r)); blk != nil {
-			s.cDegradeFallbacks.Inc()
-			return blk
-		}
-	}
-	return nil
 }
 
 // maxWriteBatch bounds one vectored write: enough to coalesce a frame's
@@ -956,49 +831,29 @@ func (s *session) servePull(c *subscriber, req *wire.SegmentRequest) {
 	lad := s.store.Ladder()
 	var cells, bytes uint64
 	for _, ref := range req.Cells {
+		full := s.store.LayeredBlock(fi, cell.ID(ref.CellID))
+		if full == nil {
+			continue // unknown cell
+		}
 		// Snap onto the prepared ladder so pull keys coincide with the
 		// push fan-out's and both populations share cached buffers.
 		rung := lad.RungFor(int(ref.Stride))
 		k := bufKey{id: cell.ID(ref.CellID), stride: lad.StrideAt(rung)}
-		full := s.store.LayeredBlock(fi, k.id)
-		layered := full != nil && full.Layers() > 1
-		var want int
-		if layered {
-			want = lad.LayersFor(rung, full.Layers())
-			// A client that declared a held prefix gets only the
-			// enhancement delta — but only when its token proves the held
-			// bytes are this very block (looped playback revisits frames;
-			// a stale prefix silently corrupts the reassembly otherwise).
-			if c.layers && ref.HaveLayers > 0 && int(ref.HaveLayers) < want &&
-				ref.Token == codec.HashBytes(full.Prefix(int(ref.HaveLayers)))[0] {
-				k.base = int(ref.HaveLayers)
-			}
+		want := lad.LayersFor(rung, full.Layers())
+		// A client that declared a held prefix gets only the enhancement
+		// delta — but only when its token proves the held bytes are this
+		// very block (looped playback revisits frames; a stale prefix
+		// silently corrupts the reassembly otherwise).
+		if c.layers && ref.HaveLayers > 0 && int(ref.HaveLayers) < want &&
+			ref.Token == codec.HashBytes(full.Prefix(int(ref.HaveLayers)))[0] {
+			k.base = int(ref.HaveLayers)
 		}
 		b := s.cache.lookup(req.Frame, k)
 		if b != nil {
 			s.cPullHits.Inc()
 		} else {
-			m := &wire.CellData{
-				Frame:  req.Frame,
-				CellID: ref.CellID,
-				Stride: tier.WireStride(k.stride),
-			}
-			if layered {
-				if k.base > 0 {
-					m.Payload = full.Delta(k.base, want)
-				} else {
-					m.Payload = full.Prefix(want)
-				}
-				m.Layers, m.BaseLayers = uint8(want), uint8(k.base)
-			} else {
-				blk := s.resolveBlock(fi, k.id, k.stride)
-				if blk == nil {
-					continue
-				}
-				m.Payload = blk.Data
-			}
 			var err error
-			b, err = wire.NewBuffer(m)
+			b, err = wire.NewBuffer(cellData(req.Frame, k, full, want))
 			if err != nil {
 				cfg.Metrics.Counter("hub.serialize.errors").Inc()
 				continue

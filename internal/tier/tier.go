@@ -41,8 +41,7 @@ func (l Ladder) StrideAt(r int) int {
 }
 
 // RungFor maps an arbitrary requested stride to the closest prepared
-// rung (ties resolve to the denser rung, matching the store's historical
-// nearestStride).
+// rung (ties resolve to the denser rung).
 func (l Ladder) RungFor(stride int) int {
 	best := 0
 	bestD := abs(stride - l.strides[0])

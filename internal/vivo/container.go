@@ -28,14 +28,30 @@ import (
 //	nstrides uvarint, then each stride as uvarint
 //	per frame:
 //	  occupied count + delta-varint cell IDs
-//	  per stride: block count, then per block:
-//	    cellID uvarint, numPoints uvarint, payload len uvarint, payload
+//	  per occupied cell, in ascending ID order, its layered block once:
+//	    layers uvarint
+//	    layers × segment length uvarint (layer t ends at the sum of the
+//	              first t+1 lengths; the sum is the payload length)
+//	    layers × points uvarint (decoded points of each layer prefix)
+//	    payload
 //	crc-less: each codec block already carries its own checksum.
+//
+// Version 1 stored every rung's prefix again as a separate block and
+// dropped the layer offsets, so a loaded store could not send upgrade
+// deltas; it is rejected and must be re-packed with volpack.
 
 var storeMagic = [6]byte{'V', 'C', 'S', 'T', 'O', 'R'}
 
 // storeVersion is the current container version.
-const storeVersion = 1
+const storeVersion = 2
+
+// Bounds on a stored block, so a corrupt header cannot demand a huge
+// allocation: its layer count (the codec's quantization depth caps it
+// at 16) and its payload size.
+const (
+	maxBlockLayers = 64
+	maxBlockBytes  = 64 << 20
+)
 
 // Errors returned by the container codec.
 var (
@@ -106,23 +122,28 @@ func WriteStore(w io.Writer, s *Store) error {
 			}
 			prev = int64(id)
 		}
-		for _, stride := range s.strides {
-			blocks := fb.ByStride[stride]
-			if err := put(uint64(len(blocks))); err != nil {
+		// Deterministic order: ascending cell ID via the occupied set.
+		for _, id := range ids {
+			blk := fb.Blocks[id]
+			n := blk.Layers()
+			if err := put(uint64(n)); err != nil {
 				return err
 			}
-			// Deterministic order: ascending cell ID via the occupied set.
-			for _, id := range ids {
-				blk, ok := blocks[id]
-				if !ok {
-					continue
-				}
-				if err := put(uint64(blk.CellID), uint64(blk.NumPoints), uint64(len(blk.Data))); err != nil {
+			end := 0
+			for l := 1; l <= n; l++ {
+				next := len(blk.Prefix(l))
+				if err := put(uint64(next - end)); err != nil {
 					return err
 				}
-				if _, err := bw.Write(blk.Data); err != nil {
+				end = next
+			}
+			for l := 1; l <= n; l++ {
+				if err := put(uint64(blk.PointsAtTier(l))); err != nil {
 					return err
 				}
+			}
+			if _, err := bw.Write(blk.Data); err != nil {
+				return err
 			}
 		}
 	}
@@ -142,6 +163,9 @@ func ReadStore(r io.Reader) (*Store, error) {
 	ver, err := br.ReadByte()
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadContainer, err)
+	}
+	if ver == 1 {
+		return nil, fmt.Errorf("%w: version 1 container (per-rung copies, no layer offsets); re-pack it with volpack", ErrBadContainer)
 	}
 	if ver != storeVersion {
 		return nil, fmt.Errorf("%w: version %d", ErrBadContainer, ver)
@@ -225,30 +249,47 @@ func ReadStore(r io.Reader) (*Store, error) {
 			}
 			occ.Add(cell.ID(prev))
 		}
-		fb := &FrameBlocks{Occupied: occ, ByStride: map[int]map[cell.ID]*codec.Block{}}
-		for _, stride := range strides {
-			n, err := get()
-			if err != nil || n > uint64(maxCells) {
-				return nil, fmt.Errorf("%w: frame %d stride %d count", ErrBadContainer, f, stride)
+		fb := &FrameBlocks{Occupied: occ, Blocks: make(map[cell.ID]*codec.Block, nOcc)}
+		for _, id := range occ.IDs() {
+			blk, err := readBlock(br, id)
+			if err != nil {
+				return nil, fmt.Errorf("%w: frame %d cell %d: %v", ErrBadContainer, f, id, err)
 			}
-			m := make(map[cell.ID]*codec.Block, n)
-			for i := uint64(0); i < n; i++ {
-				id, err1 := get()
-				np, err2 := get()
-				plen, err3 := get()
-				if err1 != nil || err2 != nil || err3 != nil ||
-					id >= uint64(maxCells) || plen > 64<<20 {
-					return nil, fmt.Errorf("%w: frame %d block header", ErrBadContainer, f)
-				}
-				data := make([]byte, plen)
-				if _, err := io.ReadFull(br, data); err != nil {
-					return nil, fmt.Errorf("%w: frame %d payload: %v", ErrBadContainer, f, err)
-				}
-				m[cell.ID(id)] = &codec.Block{CellID: cell.ID(id), NumPoints: int(np), Data: data}
-			}
-			fb.ByStride[stride] = m
+			fb.Blocks[id] = blk
 		}
 		st.frames = append(st.frames, fb)
 	}
 	return st, nil
+}
+
+// readBlock reads one cell's layered block: its layer count, segment
+// lengths, per-layer point counts and payload.
+func readBlock(br *bufio.Reader, id cell.ID) (*codec.Block, error) {
+	n, err := binary.ReadUvarint(br)
+	if err != nil || n == 0 || n > maxBlockLayers {
+		return nil, errors.New("layer count")
+	}
+	blk := &codec.Block{CellID: id, LayerOffsets: make([]int, n), LayerPoints: make([]int, n)}
+	end := uint64(0)
+	for l := range blk.LayerOffsets {
+		seg, err := binary.ReadUvarint(br)
+		if err != nil || seg > maxBlockBytes-end {
+			return nil, errors.New("layer length")
+		}
+		end += seg
+		blk.LayerOffsets[l] = int(end)
+	}
+	for l := range blk.LayerPoints {
+		np, err := binary.ReadUvarint(br)
+		if err != nil || np > 1<<31 {
+			return nil, errors.New("layer points")
+		}
+		blk.LayerPoints[l] = int(np)
+	}
+	blk.NumPoints = blk.LayerPoints[n-1]
+	blk.Data = make([]byte, end)
+	if _, err := io.ReadFull(br, blk.Data); err != nil {
+		return nil, fmt.Errorf("payload: %v", err)
+	}
+	return blk, nil
 }

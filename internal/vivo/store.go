@@ -15,17 +15,15 @@ import (
 	"volcast/internal/tier"
 )
 
-// FrameBlocks holds one frame's encoded cells at every prepared density
-// stride, as a content server would store them. With the layered codec
-// (the default for multi-rung ladders) every stride's block is a tier
-// view of one shared layered encode: the entries of coarser strides
-// alias prefixes of the stride-1 block's buffer rather than holding
-// independent encodes.
+// FrameBlocks holds one frame's encoded cells, as a content server
+// would store them: each occupied cell once, as a layered block whose
+// layer prefixes serve every density rung of the store's ladder.
 type FrameBlocks struct {
 	// Occupied is the frame's occupied-cell set.
 	Occupied *cell.Set
-	// ByStride maps stride → cellID → encoded block.
-	ByStride map[int]map[cell.ID]*codec.Block
+	// Blocks maps cellID → the cell's layered block; it holds exactly
+	// the occupied cells.
+	Blocks map[cell.ID]*codec.Block
 }
 
 // Store is the server-side content store: every frame of a video,
@@ -63,12 +61,11 @@ type Store struct {
 // include 1 (full density); it is sorted and deduplicated. Cell slots
 // are filled by index, so the store is identical for any pool width.
 //
-// With more than one rung, each cell is encoded exactly once as a
-// layered block of len(strides) layers and every rung is served as a
-// layer-prefix view of that block — one encode serves every tier, and a
-// coarse rung's bytes alias the dense rung's buffer. An encoder that
-// already requests layering (Params.Layers > 0) keeps its own layer
-// count.
+// Each cell is encoded exactly once as a layered block of len(strides)
+// layers and every rung is served as a layer prefix of that block — one
+// encode serves every tier, and a coarse rung's bytes alias the dense
+// rung's buffer. An encoder that already requests layering
+// (Params.Layers > 0) keeps its own layer count.
 //
 // Unless the encoder already carries a cache, encoding runs through the
 // process-wide content-addressed encode tier (internal/blockcache), so
@@ -82,9 +79,7 @@ func BuildStore(v *pointcloud.Video, g *cell.Grid, enc *codec.Encoder, strides [
 	if enc.Cache == nil {
 		enc = enc.Cached(blockcache.Blocks())
 	}
-	if len(ss) > 1 {
-		enc = enc.Layered(uint8(len(ss)))
-	}
+	enc = enc.Layered(uint8(len(ss)))
 	n := len(v.Frames)
 	st := &Store{grid: g, strides: ss, ladder: tier.New(ss), fps: v.FPS,
 		frames: make([]*FrameBlocks, n), ready: make([]chan struct{}, n), built: make(chan struct{})}
@@ -103,7 +98,7 @@ func BuildStore(v *pointcloud.Video, g *cell.Grid, enc *codec.Encoder, strides [
 		defer close(st.ready[fi])
 		sp := tr.Begin(fi, obs.PipelineUser, obs.StageEncode)
 		stopFrame := reg.Histogram("vivo.encode_frame_ms", nil).TimeMillis()
-		fb, err := encodeFrame(v.Frames[fi], g, enc, ss)
+		fb, err := encodeFrame(v.Frames[fi], g, enc)
 		stopFrame()
 		sp.End()
 		if err != nil {
@@ -140,14 +135,27 @@ func BuildStore(v *pointcloud.Video, g *cell.Grid, enc *codec.Encoder, strides [
 }
 
 // NewStore assembles a store from pre-built frames — the ingestion path
-// for content encoded elsewhere (and the way tests construct stores with
-// deliberately incomplete rung maps). The strides slice must include 1
-// and is sorted and deduplicated; each frame's ByStride maps are used as
-// given, holes included.
+// for content encoded elsewhere. The strides slice must include 1 and is
+// sorted and deduplicated. Every frame must hold one non-nil block for
+// each occupied cell and none for any other, so every rung of every
+// occupied cell is servable.
 func NewStore(g *cell.Grid, strides []int, fps int, frames []*FrameBlocks) (*Store, error) {
 	ss := dedupSorted(strides)
 	if len(ss) == 0 || ss[0] != 1 {
 		return nil, fmt.Errorf("vivo: strides must include 1, got %v", strides)
+	}
+	for fi, fb := range frames {
+		if fb == nil || fb.Occupied == nil {
+			return nil, fmt.Errorf("vivo: frame %d is empty", fi)
+		}
+		if len(fb.Blocks) != fb.Occupied.Count() {
+			return nil, fmt.Errorf("vivo: frame %d has %d blocks for %d occupied cells", fi, len(fb.Blocks), fb.Occupied.Count())
+		}
+		for id, b := range fb.Blocks {
+			if b == nil || !fb.Occupied.Contains(id) {
+				return nil, fmt.Errorf("vivo: frame %d cell %d: block missing or cell unoccupied", fi, id)
+			}
+		}
 	}
 	return &Store{grid: g, strides: ss, ladder: tier.New(ss), fps: fps, frames: frames}, nil
 }
@@ -164,49 +172,22 @@ func (s *Store) Wait() error {
 }
 
 // encodeFrame partitions and encodes one frame, spreading its cells over
-// the par pool: each cell once, with every coarser stride's entry a
-// layer-prefix view of the full block. A single-rung ladder (or a
-// non-layered encoder) keeps the flat one-encode-per-stride path.
-func encodeFrame(frame *pointcloud.Cloud, g *cell.Grid, enc *codec.Encoder, ss []int) (*FrameBlocks, error) {
+// the par pool: each cell once, as one layered block.
+func encodeFrame(frame *pointcloud.Cloud, g *cell.Grid, enc *codec.Encoder) (*FrameBlocks, error) {
 	occ := g.OccupiedCells(frame)
 	parts := g.Partition(frame)
 	ids := occ.IDs()
-	layered := enc.Params().Layers > 0
-	lad := tier.New(ss)
-	rows := make([][]*codec.Block, len(ids)) // per cell, one block per rung
+	blocks := make([]*codec.Block, len(ids))
 	if err := par.ForEach(context.Background(), len(ids), func(i int) error {
-		id, idxs, bounds := ids[i], parts[ids[i]], g.Bounds(ids[i])
-		row := make([]*codec.Block, len(ss))
-		if layered {
-			full := enc.EncodeCell(id, frame, idxs, bounds)
-			row[0] = full
-			for r := 1; r < len(ss); r++ {
-				row[r] = full.TierView(lad.LayersFor(r, full.Layers()))
-			}
-		} else {
-			for r, stride := range ss {
-				sub := idxs
-				if stride > 1 {
-					sub = sub[:0:0]
-					for k := 0; k < len(idxs); k += stride {
-						sub = append(sub, idxs[k])
-					}
-				}
-				row[r] = enc.EncodeCell(id, frame, sub, bounds)
-			}
-		}
-		rows[i] = row
+		id := ids[i]
+		blocks[i] = enc.EncodeCell(id, frame, parts[id], g.Bounds(id))
 		return nil
 	}); err != nil {
 		return nil, err
 	}
-	fb := &FrameBlocks{Occupied: occ, ByStride: make(map[int]map[cell.ID]*codec.Block, len(ss))}
-	for r, stride := range ss {
-		m := make(map[cell.ID]*codec.Block, len(ids))
-		for i, id := range ids {
-			m[id] = rows[i][r]
-		}
-		fb.ByStride[stride] = m
+	fb := &FrameBlocks{Occupied: occ, Blocks: make(map[cell.ID]*codec.Block, len(ids))}
+	for i, id := range ids {
+		fb.Blocks[id] = blocks[i]
 	}
 	return fb, nil
 }
@@ -257,22 +238,21 @@ func (s *Store) Frame(fi int) *FrameBlocks {
 // Ladder returns the stride↔tier ladder of the prepared rungs.
 func (s *Store) Ladder() tier.Ladder { return s.ladder }
 
-// nearestStride maps an arbitrary requested stride to the closest prepared
-// one (ties resolve to the denser option).
-func (s *Store) nearestStride(stride int) int {
-	return s.ladder.StrideAt(s.ladder.RungFor(stride))
+// layers returns the layer-prefix length that serves the prepared rung
+// nearest to stride (ties resolve to the denser rung) from block b.
+func (s *Store) layers(b *codec.Block, stride int) int {
+	return s.ladder.LayersFor(s.ladder.RungFor(stride), b.Layers())
 }
 
 // Block returns the encoded block of a cell at (the nearest prepared
-// stride to) the requested stride, or nil when the cell is unoccupied.
-// With a layered store the returned block is a layer-prefix view of the
-// cell's single encode.
+// stride to) the requested stride — a layer-prefix view of the cell's
+// single encode — or nil when the cell is unoccupied.
 func (s *Store) Block(fi int, id cell.ID, stride int) *codec.Block {
-	fb := s.Frame(fi)
-	if fb == nil {
+	b := s.LayeredBlock(fi, id)
+	if b == nil {
 		return nil
 	}
-	return fb.ByStride[s.nearestStride(stride)][id]
+	return b.TierView(s.layers(b, stride))
 }
 
 // LayeredBlock returns the cell's full layered block (the densest rung),
@@ -283,38 +263,14 @@ func (s *Store) LayeredBlock(fi int, id cell.ID) *codec.Block {
 	if fb == nil {
 		return nil
 	}
-	return fb.ByStride[s.strides[0]][id]
-}
-
-// UpgradeBytes returns the bytes a subscriber already holding a cell at
-// fromStride must receive to reach toStride: with layered blocks only
-// the enhancement delta between the two tiers' prefixes, with flat
-// blocks a full re-send of the finer rung. Downgrades (and unoccupied
-// cells) cost zero.
-func (s *Store) UpgradeBytes(fi int, id cell.ID, fromStride, toStride int) int {
-	b := s.LayeredBlock(fi, id)
-	if b == nil {
-		return 0
-	}
-	from := s.ladder.LayersFor(s.ladder.RungFor(fromStride), b.Layers())
-	to := s.ladder.LayersFor(s.ladder.RungFor(toStride), b.Layers())
-	if to <= from {
-		return 0
-	}
-	if b.Layers() > 1 {
-		return len(b.Delta(from, to))
-	}
-	if blk := s.Block(fi, id, toStride); blk != nil {
-		return blk.Size()
-	}
-	return 0
+	return fb.Blocks[id]
 }
 
 // SizeOracle returns a Request.Bytes oracle for frame fi.
 func (s *Store) SizeOracle(fi int) func(id cell.ID, stride int) int {
 	return func(id cell.ID, stride int) int {
-		if b := s.Block(fi, id, stride); b != nil {
-			return b.Size()
+		if b := s.LayeredBlock(fi, id); b != nil {
+			return len(b.Prefix(s.layers(b, stride)))
 		}
 		return 0
 	}
@@ -323,8 +279,8 @@ func (s *Store) SizeOracle(fi int) func(id cell.ID, stride int) int {
 // PointsOracle returns a Request.Points oracle for frame fi.
 func (s *Store) PointsOracle(fi int) func(id cell.ID, stride int) int {
 	return func(id cell.ID, stride int) int {
-		if b := s.Block(fi, id, stride); b != nil {
-			return b.NumPoints
+		if b := s.LayeredBlock(fi, id); b != nil {
+			return b.PointsAtTier(s.layers(b, stride))
 		}
 		return 0
 	}
@@ -338,8 +294,8 @@ func (s *Store) FrameBytes(fi int) int {
 		return 0
 	}
 	total := 0
-	for _, b := range fb.ByStride[1] {
-		total += b.Size()
+	for _, b := range fb.Blocks {
+		total += b.Size() // full density is the whole layered block
 	}
 	return total
 }

@@ -10,28 +10,20 @@ import (
 	"volcast/internal/codec"
 	"volcast/internal/pointcloud"
 	"volcast/internal/testutil/gate"
-	"volcast/internal/tier"
 )
 
 // completeStore encodes every frame the way a store read must see it —
-// each occupied cell once as a layered block, coarser rungs as tier views
-// — and assembles the store only afterwards: the all-frames-first
-// reference a progressive build must match byte for byte.
+// each occupied cell once as a layered block — and assembles the store
+// only afterwards: the all-frames-first reference a progressive build
+// must match byte for byte.
 func completeStore(t *testing.T, v *pointcloud.Video, g *cell.Grid, ss []int) *Store {
 	t.Helper()
 	enc := codec.NewEncoder(codec.DefaultParams()).Layered(uint8(len(ss)))
-	lad := tier.New(ss)
 	frames := make([]*FrameBlocks, len(v.Frames))
 	for fi, f := range v.Frames {
-		fb := &FrameBlocks{Occupied: g.OccupiedCells(f), ByStride: map[int]map[cell.ID]*codec.Block{}}
-		for _, s := range ss {
-			fb.ByStride[s] = map[cell.ID]*codec.Block{}
-		}
+		fb := &FrameBlocks{Occupied: g.OccupiedCells(f), Blocks: map[cell.ID]*codec.Block{}}
 		for id, idxs := range g.Partition(f) {
-			full := enc.EncodeCell(id, f, idxs, g.Bounds(id))
-			for r, s := range ss {
-				fb.ByStride[s][id] = full.TierView(lad.LayersFor(r, full.Layers()))
-			}
+			fb.Blocks[id] = enc.EncodeCell(id, f, idxs, g.Bounds(id))
 		}
 		frames[fi] = fb
 	}
@@ -176,5 +168,32 @@ func TestStoreWaitOnAssembledStores(t *testing.T) {
 	}
 	if err := empty.Wait(); err != nil || empty.Frame(0) != nil {
 		t.Error("an empty assembled store must be complete and frameless")
+	}
+}
+
+// TestNewStoreRejectsHoles: an assembled frame must carry one block per
+// occupied cell, so no rung of any occupied cell can be missing.
+func TestNewStoreRejectsHoles(t *testing.T) {
+	st := buildTestStore(t, 1, 2_000)
+	if err := st.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	fb := st.Frame(0)
+	if _, err := NewStore(st.Grid(), st.Strides(), 30, []*FrameBlocks{fb}); err != nil {
+		t.Fatalf("complete frame rejected: %v", err)
+	}
+	holed := &FrameBlocks{Occupied: fb.Occupied, Blocks: map[cell.ID]*codec.Block{}}
+	for id, b := range fb.Blocks {
+		holed.Blocks[id] = b
+	}
+	for id := range holed.Blocks {
+		delete(holed.Blocks, id)
+		break
+	}
+	if _, err := NewStore(st.Grid(), st.Strides(), 30, []*FrameBlocks{holed}); err == nil {
+		t.Error("frame missing an occupied cell's block accepted")
+	}
+	if _, err := NewStore(st.Grid(), st.Strides(), 30, []*FrameBlocks{nil}); err == nil {
+		t.Error("nil frame accepted")
 	}
 }
